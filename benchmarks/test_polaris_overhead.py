@@ -3,8 +3,9 @@
 The prototype measures ~10 us per invocation at high load, one to two
 orders of magnitude below mean transaction times.  Absolute cost here
 depends on the host; the claims checked are the *scaling* (linear in
-queue length, as the algorithm's O(|Q| x |F|) walk predicts) and that
-realistic queue depths stay well under mean TPC-C execution times.
+queue length: the walk adds one stamped estimate per queued request)
+and that realistic queue depths stay well under mean TPC-C execution
+times.
 """
 
 from repro.harness import figures

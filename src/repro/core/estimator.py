@@ -15,12 +15,15 @@ sorted window into O(sqrt(S)) runs of O(sqrt(S)) elements each, so an
 insert or evict shifts one short run instead of the whole window ---
 O(sqrt(S)) per observation against the O(S) memmove a single flat list
 pays.  The full-window steady state (one evict + one insert per
-observation) goes through :meth:`_ChunkedSortedList.replace`, which
-resolves both in a single pass and reuses the evicted slot when the new
-value lands in the same run.  The percentile itself is cached and only
-recomputed after the window changes, because POLARIS calls
-``estimate()`` once per (queued request x frequency) inside
-SetProcessorFreq --- far more often than it observes.
+observation) is resolved in a single pass inside
+:meth:`SlidingWindowPercentile.observe`, which reuses the evicted slot
+when the new value lands in the same run.  The percentile itself is
+memoised, and ``observe`` reports whether an observation can have moved
+it: when the evicted and the new sample fall on the same strict side of
+the memoised value, the order statistic is unchanged, so
+:class:`ExecutionTimeEstimator` skips the recomputation and leaves the
+POLARIS estimate vectors alone (at p = 95 that is ~90% of
+observations).
 
 :class:`ListSlidingWindowPercentile` preserves the original flat-list
 implementation as the reference oracle: the property tests assert the
@@ -32,7 +35,7 @@ all workloads at all frequencies can be initialized to zero.  This will
 cause POLARIS to gradually explore and initialize its estimators for
 unexplored frequencies, from lowest to highest" (Section 6.1).  The
 experiment harness reproduces the paper's explicit training phase that
-fills every window before measuring.
+fills every window before measuring, one bulk :meth:`fill` per window.
 """
 
 from __future__ import annotations
@@ -41,7 +44,9 @@ import bisect
 import math
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
-from typing import Deque, Dict, List, Tuple
+from fractions import Fraction
+from functools import lru_cache
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 DEFAULT_WINDOW = 1000
 DEFAULT_PERCENTILE = 95.0
@@ -51,6 +56,18 @@ DEFAULT_PERCENTILE = 95.0
 #: the S=1000 microbenchmark: small enough that the per-run memmove is
 #: cheap, large enough that the run directory stays short.
 LOAD = 32
+
+
+@lru_cache(maxsize=4096)
+def nearest_rank(percentile: float, n: int) -> int:
+    """1-based nearest rank of the ``percentile``-th of ``n`` values.
+
+    ``ceil(percentile / 100 * n)``, computed exactly with ``percentile``
+    read as the decimal it prints as.  The float product rounds up
+    across an integer for some inputs --- ``99.9 / 100.0 * 1000`` is
+    ``999.0000000000001`` --- which would pick one rank too high.
+    """
+    return max(1, math.ceil(Fraction(str(percentile)) * n / 100))
 
 
 class _ChunkedSortedList:
@@ -92,62 +109,6 @@ class _ChunkedSortedList:
             maxes.append(value)
         self._size += 1
 
-    def remove(self, value: float) -> None:
-        """Remove one occurrence of ``value`` (must be present)."""
-        maxes = self._maxes
-        i = bisect_left(maxes, value)
-        run = self._runs[i]
-        del run[bisect_left(run, value)]
-        self._size -= 1
-        if run:
-            maxes[i] = run[-1]
-        else:
-            del self._runs[i]
-            del maxes[i]
-
-    def replace(self, old: float, new: float) -> None:
-        """Evict ``old`` and insert ``new`` in one pass.
-
-        When ``new`` belongs in the same run that loses ``old`` --- the
-        common case for a stationary stream --- the run is edited with a
-        single delete + insort and the directory entry refreshed once.
-        """
-        maxes = self._maxes
-        i = bisect_left(maxes, old)
-        run = self._runs[i]
-        if (i == 0 or new >= maxes[i - 1]) and \
-                (new <= maxes[i] or i == len(maxes) - 1):
-            del run[bisect_left(run, old)]
-            insort(run, new)
-            maxes[i] = run[-1]
-            return
-        self._evict_then_add(i, old, new)
-
-    def _evict_then_add(self, i: int, old: float, new: float) -> None:
-        """Slow path of :meth:`replace`: ``new`` lands in a different run."""
-        runs = self._runs
-        maxes = self._maxes
-        run = runs[i]
-        j = bisect_left(run, old)
-        del run[j]
-        if run:
-            if j == len(run):
-                maxes[i] = run[-1]
-        else:
-            del runs[i]
-            del maxes[i]
-        k = bisect_right(maxes, new)
-        if k == len(maxes):
-            k -= 1
-            run = runs[k]
-            run.append(new)
-            maxes[k] = new
-        else:
-            run = runs[k]
-            insort(run, new)
-        if len(run) > LOAD * 2:
-            self._split(k)
-
     def _split(self, i: int) -> None:
         run = self._runs[i]
         tail = run[LOAD:]
@@ -178,6 +139,16 @@ class _ChunkedSortedList:
             k -= n
         raise IndexError(f"rank {k} out of range for size {size}")
 
+    @classmethod
+    def from_sorted(cls, values: List[float]) -> "_ChunkedSortedList":
+        """Build from an ascending list in one step (runs of ``LOAD``)."""
+        chunks = cls()
+        runs = [values[i:i + LOAD] for i in range(0, len(values), LOAD)]
+        chunks._runs = runs
+        chunks._maxes = [run[-1] for run in runs]
+        chunks._size = len(values)
+        return chunks
+
     def flatten(self) -> List[float]:
         """All elements in sorted order (diagnostics and tests)."""
         return [v for run in self._runs for v in run]
@@ -187,7 +158,7 @@ class SlidingWindowPercentile:
     """Running p-th percentile over the last ``window`` observations."""
 
     __slots__ = ("window", "percentile", "_order", "_chunks",
-                 "observations", "_cached_value", "_cached_at")
+                 "observations", "_cached")
 
     def __init__(self, window: int = DEFAULT_WINDOW,
                  percentile: float = DEFAULT_PERCENTILE):
@@ -200,18 +171,21 @@ class SlidingWindowPercentile:
         self._order: Deque[float] = deque()
         self._chunks = _ChunkedSortedList()
         self.observations = 0
-        #: value() memo, keyed by the observation count it was computed
-        #: at --- observe() already bumps the counter, so invalidation
-        #: costs the hot path nothing.
-        self._cached_value = 0.0
-        self._cached_at = 0
+        #: value() memo; None once an observation may have moved it.
+        self._cached: Optional[float] = 0.0
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float) -> bool:
         """Add a measurement, evicting the oldest beyond the window.
 
-        The full-window path inlines ``_ChunkedSortedList.replace`` ---
-        this is the per-transaction hot path and the extra method call
-        is measurable at S=1000.
+        Returns whether the percentile can have moved.  It cannot when
+        the window is full, the memo is current and the evicted and the
+        new sample both lie strictly below it or both strictly above
+        it: the counts below, at and above the memoised value are then
+        unchanged, and so is the order statistic at a fixed rank.
+
+        The full-window path evicts and inserts in one pass, inline ---
+        this is the per-transaction hot path and a method call per
+        observation is measurable at S=1000.
         """
         if value < 0:
             raise ValueError("execution times cannot be negative")
@@ -220,6 +194,7 @@ class SlidingWindowPercentile:
         chunks = self._chunks
         if len(order) == self.window:
             old = order.popleft()
+            order.append(value)
             maxes = chunks._maxes
             runs = chunks._runs
             i = bisect_left(maxes, old)
@@ -250,9 +225,34 @@ class SlidingWindowPercentile:
                     insort(run, value)
                 if len(run) > LOAD * 2:
                     chunks._split(k)
+            cached = self._cached
+            if cached is not None and (
+                    (old < cached and value < cached)
+                    or (old > cached and value > cached)):
+                return False
         else:
             chunks.add(value)
-        order.append(value)
+            order.append(value)
+        self._cached = None
+        return True
+
+    def fill(self, values: Iterable[float]) -> None:
+        """Observe ``values`` in order, in one step.
+
+        Value-identical to one :meth:`observe` per value, but the
+        window is installed directly --- the arrival-order deque plus
+        sorted runs --- instead of paying an insert per sample.
+        """
+        values = list(values)
+        if not values:
+            return
+        if min(values) < 0:
+            raise ValueError("execution times cannot be negative")
+        self.observations += len(values)
+        kept = (list(self._order) + values)[-self.window:]
+        self._order = deque(kept)
+        self._chunks = _ChunkedSortedList.from_sorted(sorted(kept))
+        self._cached = None
 
     def value(self) -> float:
         """Current percentile estimate (0.0 when no observations yet).
@@ -261,18 +261,11 @@ class SlidingWindowPercentile:
         (queued request x frequency) inside SetProcessorFreq, so reads
         vastly outnumber updates.
         """
-        observations = self.observations
-        if self._cached_at == observations:
-            return self._cached_value
-        n = self._chunks._size
-        if n == 0:
-            result = 0.0
-        else:
-            rank = math.ceil(self.percentile / 100.0 * n)
-            result = self._chunks.kth(max(0, rank - 1))
-        self._cached_value = result
-        self._cached_at = observations
-        return result
+        cached = self._cached
+        if cached is None:
+            rank = nearest_rank(self.percentile, self._chunks._size)
+            cached = self._cached = self._chunks.kth(rank - 1)
+        return cached
 
     @property
     def _sorted(self) -> List[float]:
@@ -323,8 +316,7 @@ class ListSlidingWindowPercentile:
         n = len(self._sorted)
         if n == 0:
             return 0.0
-        rank = math.ceil(self.percentile / 100.0 * n)
-        return self._sorted[max(0, rank - 1)]
+        return self._sorted[nearest_rank(self.percentile, n) - 1]
 
     def __len__(self) -> int:
         return len(self._sorted)
@@ -335,32 +327,32 @@ class ListSlidingWindowPercentile:
 
 
 class ExecutionTimeEstimator:
-    """The full ``mu(c, f)`` table: one percentile tracker per pair."""
+    """The full ``mu(c, f)`` table: one percentile tracker per pair.
+
+    It also owns the POLARIS estimate-vector caches: per frequency
+    ladder, one live list ``[estimate(c, f) for f in ladder]`` per
+    workload, which every scheduler on this estimator and ladder shares
+    and stamps onto the requests it queues.  Whenever a tracker's
+    percentile can have moved, the estimator writes the fresh value
+    into the matching slot of every cached list, so the lists always
+    equal a rebuild and need no version checks.
+    """
 
     def __init__(self, window: int = DEFAULT_WINDOW,
                  percentile: float = DEFAULT_PERCENTILE):
         self.window = window
         self.percentile = percentile
         self._trackers: Dict[Tuple[str, float], SlidingWindowPercentile] = {}
-        #: Bumped on every mutation.  Consumers (the POLARIS mu-vector
-        #: cache) may reuse estimates as long as this hasn't moved;
-        #: estimator *proxies* that vary estimates over time without
-        #: observing (repro.faults skew windows) deliberately do not
-        #: expose a ``version``, which disables such caching.
+        #: Bumped whenever an estimate can have changed.  Estimator
+        #: *proxies* that vary estimates over time without observing
+        #: (repro.faults skew windows) expose neither this nor
+        #: ``mu_vector_caches``, so schedulers do not cache their
+        #: estimates.
         self.version = 0
-        #: Per-workload mutation counters: an observation for workload
-        #: ``c`` moves only ``workload_versions[c]``, so cached
-        #: estimate vectors for *other* workloads stay valid --- the
-        #: global counter alone would invalidate the whole cache on
-        #: every completion.
-        self.workload_versions: Dict[str, int] = {}
-        #: Estimate-vector caches, keyed by frequency tuple then
-        #: workload (see PolarisScheduler).  Living on the estimator
-        #: rather than the scheduler lets every worker sharing this
-        #: estimator share one cache: a vector built after any
-        #: observation is valid for all of them, instead of each of N
-        #: workers rebuilding it once per mutation.
-        self.mu_vector_caches: Dict[Tuple[float, ...], dict] = {}
+        #: Estimate-vector caches: frequency ladder -> workload -> live
+        #: ``[estimate(c, f) for f in ladder]`` (see PolarisScheduler).
+        self.mu_vector_caches: Dict[Tuple[float, ...],
+                                    Dict[str, List[float]]] = {}
 
     def _tracker(self, workload: str,
                  freq_ghz: float) -> SlidingWindowPercentile:
@@ -379,13 +371,19 @@ class ExecutionTimeEstimator:
         dispatch, as in the prototype (a transaction occasionally spans
         a frequency change; the sliding window absorbs the noise).
         """
+        tracker = self._trackers.get((workload, freq_ghz))
+        if tracker is None:
+            tracker = self._tracker(workload, freq_ghz)
+        if tracker.observe(execution_seconds):
+            self._changed(workload, freq_ghz, tracker)
+
+    def fill(self, workload: str, freq_ghz: float,
+             values: Iterable[float]) -> None:
+        """Record many measured execution times, in order, in one step
+        (the harness's training phase, Section 6.1)."""
         tracker = self._tracker(workload, freq_ghz)
-        tracker.observe(execution_seconds)
-        self.version += 1
-        version = self.workload_versions.get(workload, 0) + 1
-        self.workload_versions[workload] = version
-        if self.mu_vector_caches:
-            self._refresh_vectors(workload, freq_ghz, tracker, version)
+        tracker.fill(values)
+        self._changed(workload, freq_ghz, tracker)
 
     def estimate(self, workload: str, freq_ghz: float) -> float:
         """``mu(c, f)``: predicted execution time in seconds (0 if unseen)."""
@@ -396,38 +394,24 @@ class ExecutionTimeEstimator:
 
     def prime(self, workload: str, freq_ghz: float, value: float,
               count: int = 1) -> None:
-        """Seed a tracker (the harness's training phase, Section 6.1)."""
-        tracker = self._tracker(workload, freq_ghz)
-        for _ in range(count):
-            tracker.observe(value)
-        self.version += 1
-        version = self.workload_versions.get(workload, 0) + 1
-        self.workload_versions[workload] = version
-        if self.mu_vector_caches:
-            self._refresh_vectors(workload, freq_ghz, tracker, version)
+        """Seed a tracker with ``count`` copies of ``value``."""
+        self.fill(workload, freq_ghz, [value] * count)
 
-    def _refresh_vectors(self, workload: str, freq_ghz: float,
-                         tracker: SlidingWindowPercentile,
-                         version: int) -> None:
+    def _changed(self, workload: str, freq_ghz: float,
+                 tracker: SlidingWindowPercentile) -> None:
         """Patch cached estimate vectors in place after a mutation.
 
-        An observation for ``(workload, freq_ghz)`` changes exactly one
+        A mutation of ``(workload, freq_ghz)`` changes exactly one
         tracker, so a cached vector for this workload stays correct at
         every *other* frequency --- only the observed frequency's slot
-        needs the fresh ``tracker.value()``, and the entry's version
-        stamp moves up so consumers treat it as current.  This replaces
-        a full ``[estimate(c, f) for f in freqs]`` rebuild per mutation
-        with one slot write, and is value-identical to the rebuild.
+        needs the fresh ``tracker.value()``.  A frequency outside a
+        cache's ladder touches no slot there.
         """
+        self.version += 1
         for freqs, cache in self.mu_vector_caches.items():
-            entry = cache.get(workload)
-            if entry is not None:
-                vector = entry[1]
-                if freq_ghz in freqs:
-                    vector[freqs.index(freq_ghz)] = tracker.value()
-                # A frequency outside this cache's ladder touches no
-                # slot, so the vector is already current either way.
-                cache[workload] = (version, vector)
+            vector = cache.get(workload)
+            if vector is not None and freq_ghz in freqs:
+                vector[freqs.index(freq_ghz)] = tracker.value()
 
     def observation_count(self, workload: str, freq_ghz: float) -> int:
         tracker = self._trackers.get((workload, freq_ghz))

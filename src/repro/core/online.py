@@ -46,6 +46,8 @@ class OnlineSpeedScaler(PolarisScheduler):
     (pstate-membership simsan check included) intact.
     """
 
+    stamps_mu = False  # no Figure 2 walk
+
     def _work_gcycles(self, request: Request) -> float:
         """Inferred work: predicted time at ``f_max`` times ``f_max``."""
         f_max = self.frequencies[-1]

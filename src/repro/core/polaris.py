@@ -19,10 +19,16 @@ their deadlines:
 3. The moment the highest frequency is required, stop checking and run
    flat out --- late transactions then finish as fast as possible.
 
-The walk keeps one running sum per frequency, so one invocation costs
-O(|Q| * |F|) --- the prototype measures ~10 us per invocation at high
-load, one to two orders of magnitude below mean transaction times
-(Section 5); the overhead bench reproduces the scaling.
+The walk keeps a single running sum, ``q`` at the current candidate
+frequency, and reads each queued request's estimate at that frequency
+from the vector stamped on it at enqueue.  Since the candidate only
+rises, an escalation recomputes ``q`` at the new frequency by replaying
+the already-walked requests, in walk order --- the exact additions a
+per-frequency sum would have made.  One invocation thus costs one add
+per scanned request plus the replays, O(|Q| * |F|) at worst.  The
+prototype measures ~10 us per invocation at high load, one to two
+orders of magnitude below mean transaction times (Section 5); the
+overhead bench reproduces the scaling.
 
 **Shared frequency domains.**  ``select_frequency`` assumes per-core
 DVFS, as the paper does.  On coarse topologies
@@ -39,7 +45,7 @@ the harness's granularity figure quantifies exactly that cost.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.sanitizer import invariant, simsan_enabled
 from repro.core.estimator import ExecutionTimeEstimator
@@ -72,6 +78,11 @@ class PolarisScheduler:
 
     name = "polaris"
 
+    #: Whether :meth:`enqueue` stamps requests with their workload's
+    #: live estimate vector for the Figure 2 walk.  Schedulers that
+    #: replace :meth:`select_frequency` with their own rule turn it off.
+    stamps_mu = True
+
     def __init__(self, frequencies: Sequence[float],
                  estimator: ExecutionTimeEstimator,
                  sanitize: Optional[bool] = None):
@@ -88,26 +99,17 @@ class PolarisScheduler:
         #: pop/selection, so the disabled cost is one boolean test.
         self.sanitize = simsan_enabled(sanitize)
         self._freq_set = frozenset(freqs)
-        #: mu-vector cache: workload name -> ``(workload_version,
-        #: [estimate(c, f) for f in freqs])``.  SetProcessorFreq runs
-        #: once per arrival *and* per completion, so between
-        #: observations the same vectors are rebuilt thousands of
-        #: times; caching them is value-identical (the estimator is
-        #: pure between mutations).  Entries are validated against the
-        #: estimator's *per-workload* mutation counters, so observing
-        #: workload ``c`` invalidates only ``c``'s vector.  Estimators
-        #: without a ``workload_versions`` attribute (the faults
-        #: subsystem's time-varying skew proxy) disable the cache.
-        #: When the estimator exposes ``mu_vector_caches`` the cache is
-        #: *shared* across every scheduler built on that estimator with
-        #: the same frequency ladder: the vectors are a pure function of
-        #: (workload, freqs, estimator state), so one worker's rebuild
-        #: after an observation serves all of them.
-        caches = getattr(estimator, "mu_vector_caches", None)
-        if caches is None:
-            self._mu_cache: dict = {}
-        else:
-            self._mu_cache = caches.setdefault(freqs, {})
+        #: This ladder's estimate-vector cache, owned and kept current by
+        #: the estimator (``mu_vector_caches``) and shared by every
+        #: scheduler on that estimator and ladder.  None for estimators
+        #: without one (the faults subsystem's time-varying skew proxy,
+        #: ``estimator=None``) and for schedulers that do not run the
+        #: Figure 2 walk: their requests go unstamped and the walk
+        #: draws estimates per item.
+        caches = getattr(estimator, "mu_vector_caches", None) \
+            if self.stamps_mu else None
+        self._mu_cache: Optional[Dict[str, List[float]]] = \
+            None if caches is None else caches.setdefault(freqs, {})
         #: repro.obs: the worker flips this on when tracing and reads
         #: :attr:`last_decision` right after each ``select_frequency``
         #: call.  The scheduler stays simulation-agnostic --- it records
@@ -127,8 +129,30 @@ class PolarisScheduler:
     # Queue management
     # ------------------------------------------------------------------
     def enqueue(self, request: Request) -> None:
-        """Queue a request (EDF position for POLARIS proper)."""
+        """Queue a request (EDF position for POLARIS proper).
+
+        Stamps ``request.mu`` with the live estimate vector of its
+        workload on this scheduler's ladder, so the walk reads
+        ``request.mu[level]`` directly.  Requests moving between
+        schedulers (migration, failover, node drains) come through here
+        and are re-stamped for the new ladder.  A never-stamped request
+        pushed straight into :attr:`queue` is stamped by the walk on
+        first sight; one stamped by another scheduler must come through
+        here instead.
+        """
+        if self._mu_cache is not None:
+            request.mu = self._mu_vector(request.workload_name)
         self.queue.push(request)
+
+    def _mu_vector(self, workload: str) -> List[float]:
+        """The live ``[estimate(workload, f) for f in ladder]``."""
+        cache = self._mu_cache
+        vector = cache.get(workload)
+        if vector is None:
+            estimate = self.estimator.estimate
+            vector = cache[workload] = [estimate(workload, f)
+                                        for f in self.frequencies]
+        return vector
 
     def next_request(self) -> Optional[Request]:
         """Dequeue the next request to execute (earliest deadline)."""
@@ -175,56 +199,22 @@ class PolarisScheduler:
                 }
             return freqs[-1]
         nf = len(freqs)
-        estimator = self.estimator
-        estimate = estimator.estimate
-        # The mu-vector cache only engages for estimators that declare
-        # per-workload mutation counters; between bumps ``estimate`` is
-        # a pure function of (workload, freq), so the per-workload
-        # vectors are reusable verbatim.  Looking estimates up
-        # vector-at-a-time is value-identical to the original per-call
-        # form: the walk below consumes exactly ``estimate(c, f)`` for
-        # every frequency, in the same arithmetic order.
-        versions = getattr(estimator, "workload_versions", None)
-        if versions is None:
-            mu_get = None
-            versions_get = None
-            mu_cache = None
-        else:
-            mu_cache = self._mu_cache
-            mu_get = mu_cache.get
-            versions_get = versions.get
-            # No observation can land mid-call, so validate the cache
-            # once per estimator mutation instead of once per queue
-            # item: evict entries whose per-workload counter moved,
-            # then record the estimator version under the reserved
-            # ``None`` key (shared by every scheduler on this cache).
-            # After the sweep, every stored entry is fresh and the
-            # per-item path below is a bare dict get.
-            ver = estimator.version
-            if mu_get(None) != ver:
-                stale = [c_ for c_, e_ in mu_cache.items()
-                         if c_ is not None and e_[0] != versions_get(c_, 0)]
-                for c_ in stale:
-                    del mu_cache[c_]
-                mu_cache[None] = ver
+        cache = self._mu_cache
+        estimate = None if cache is not None else self.estimator.estimate
 
         # Lines 2-4: minimum frequency for the running transaction, and
         # its predicted remaining time per frequency (feeds q-hat).
         if running is not None:
-            c0 = running.workload.name
-            if mu_get is not None:
-                entry = mu_get(c0)
-                if entry is not None:
-                    mu0 = entry[1]
-                else:
-                    mu0 = [estimate(c0, f) for f in freqs]
-                    mu_cache[c0] = (versions_get(c0, 0), mu0)
-            else:
+            c0 = running.workload_name
+            if cache is None:
                 mu0 = [estimate(c0, f) for f in freqs]
+            else:
+                mu0 = cache.get(c0) or self._mu_vector(c0)
             # With e0 == 0 the clamp is the identity (estimates are
             # never negative), so reuse the vector as-is.
-            if running_elapsed:
-                remaining_s = [max(0.0, m - running_elapsed) for m in mu0]
+            e0 = running_elapsed
+            if e0:
+                remaining_s = [m - e0 if m > e0 else 0.0 for m in mu0]
             else:
                 remaining_s = mu0
             chosen = nf - 1
@@ -239,51 +229,38 @@ class PolarisScheduler:
 
         # Lines 5-16: ensure all queued transactions finish in time.
         # Only q-hat at the *current* candidate frequency is read per
-        # item, and ``chosen`` never decreases, so the full q-hat
-        # vector is never materialized: the walk keeps one scalar
-        # accumulator ``q`` (== ``cumulative[chosen]`` of the vector
-        # form) plus a per-level ``workload -> mu[chosen]`` memo, and
-        # an escalation rebuilds q-hat at the higher frequency by
+        # item, and ``chosen`` never decreases, so the walk keeps one
+        # scalar ``q`` (== ``cumulative[chosen]`` of the vector form).
+        # An escalation rebuilds q-hat at the higher frequency by
         # replaying the walked items' estimates in walk order --- the
-        # exact addition sequence the vector form would have performed.
-        # Results are bit-identical; the per-item cost drops from one
-        # add per frequency to one add total.
-        items, index = self.queue.scan()
+        # exact addition sequence the vector form would have performed,
+        # so the results are bit-identical.
+        items, start = self.queue.scan()
         end = len(items)
         early_exit = False
         scanned = 0
-        if index < end and mu_get is not None:
+        if start < end and cache is not None:
             q = remaining_s[chosen]
-            live = items[index:end]
-            scanned = len(live)
-            lm: dict = {}  # level memo: workload -> mu[chosen]
-            lm_get = lm.get
-            for request in live:
-                c = request.workload_name
-                m = lm_get(c)
-                if m is None:
-                    entry = mu_get(c)
-                    if entry is None:
-                        vec = [estimate(c, f) for f in freqs]
-                        mu_cache[c] = (versions_get(c, 0), vec)
-                    else:
-                        vec = entry[1]
-                    m = lm[c] = vec[chosen]
+            # Index the queue's backing sequence in place (no copy).
+            for pos in range(start, end):
+                request = items[pos]
+                mu = request.mu
+                try:
+                    m = mu[chosen]
+                except TypeError:  # pushed without enqueue(): unstamped
+                    mu = request.mu = self._mu_vector(request.workload_name)
+                    m = mu[chosen]
                 deadline = request.deadline
                 if now + q + m > deadline:
-                    # Position of the current item (identity match ---
-                    # requests are unique); escalations are rare enough
-                    # that one C scan here beats per-item bookkeeping.
-                    at = live.index(request)
-                    mu = mu_cache[c][1]
                     # Find the lowest higher frequency that is fast
                     # enough.
+                    walked = items[start:pos]
                     j = chosen + 1
                     while j < nf:
                         chosen = j
                         qj = remaining_s[j]
-                        for w in live[:at]:
-                            qj += mu_cache[w.workload_name][1][j]
+                        for w in walked:
+                            qj += w.mu[j]
                         q = qj
                         m = mu[j]
                         if now + qj + m <= deadline:
@@ -292,16 +269,16 @@ class PolarisScheduler:
                     if chosen == nf - 1:
                         # Line 14: no further checking once we need
                         # the highest frequency.
-                        scanned = at + 1
                         early_exit = True
                         break
-                    lm = {c: m}  # new level, fresh memo
-                    lm_get = lm.get
                 q += m
-        elif index < end:
-            # Cache disabled (estimator without per-workload version
-            # counters): the original interpreted walk, with estimates
-            # drawn per item.
+            scanned = pos + 1 - start
+        elif start < end:
+            # No estimate cache (see ``_mu_cache``): the original
+            # interpreted walk, with estimates drawn per item.  The
+            # cached walk above must match it exactly (the cross-oracle
+            # tests run both).
+            index = start
             q = remaining_s[chosen]
             vectors: List[List[float]] = []
             vectors_append = vectors.append

@@ -9,7 +9,7 @@ executed non-preemptively by one worker.
 from __future__ import annotations
 
 import enum
-from typing import Any, Optional
+from typing import Any, List, Optional
 
 
 class RequestState(enum.Enum):
@@ -42,7 +42,7 @@ class Request:
     __slots__ = ("request_id", "workload", "workload_name", "txn_type",
                  "arrival_time", "deadline", "work", "state",
                  "dispatch_time", "finish_time", "worker_id",
-                 "dispatch_freq", "single_freq", "result")
+                 "dispatch_freq", "single_freq", "result", "mu")
 
     _next_id = 0
 
@@ -69,6 +69,10 @@ class Request:
         #: ran; only such runs are clean per-frequency measurements.
         self.single_freq: bool = True
         self.result: Any = None
+        #: The workload's live estimate vector, one entry per P-state of
+        #: the queue's scheduler (stamped by ``PolarisScheduler.enqueue``;
+        #: None until then).
+        self.mu: Optional[List[float]] = None
 
     # ------------------------------------------------------------------
     @property

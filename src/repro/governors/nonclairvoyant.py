@@ -44,6 +44,7 @@ class NonclairvoyantScheduler(PolarisScheduler):
     """Active-job-count speed scaling with a queue-age escape hatch."""
 
     name = "nonclairvoyant"
+    stamps_mu = False  # never reads the estimator
 
     #: Power-model exponent; the base speed is ``f_min * n^(1/alpha)``.
     alpha = 3.0

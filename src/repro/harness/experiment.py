@@ -262,6 +262,8 @@ def _train_estimator(estimator: ExecutionTimeEstimator,
     For per-type workloads the window receives draws of that type's
     service time scaled to each frequency; tier workloads receive draws
     from the full mix (what measuring the tier's transactions yields).
+    Each workload's draws are collected per frequency, in draw order,
+    and installed with one bulk ``estimator.fill`` per window.
     """
     fill = estimator.window
     for workload in manager.workloads:
@@ -271,6 +273,7 @@ def _train_estimator(estimator: ExecutionTimeEstimator,
         else:
             models = [t.service for t in spec.types]
             weights = [spec.mix_fraction(t.name) for t in spec.types]
+        windows: Dict[float, List[float]] = {f: [] for f in frequencies}
         for _ in range(fill):
             u = rng.random()
             acc = 0.0
@@ -282,8 +285,9 @@ def _train_estimator(estimator: ExecutionTimeEstimator,
                     break
             ref_seconds = model.draw_seconds(rng)
             for freq in frequencies:
-                estimator.observe(workload.name, freq,
-                                  ref_seconds * model.ref_freq_ghz / freq)
+                windows[freq].append(ref_seconds * model.ref_freq_ghz / freq)
+        for freq, window in windows.items():
+            estimator.fill(workload.name, freq, window)
 
 
 def run_experiment(config: ExperimentConfig,

@@ -1206,8 +1206,8 @@ def polaris_overhead(queue_lengths: Sequence[int] = (0, 1, 4, 16, 64, 256),
     frequencies = (1.2, 1.6, 2.0, 2.4, 2.8)
     estimator = ExecutionTimeEstimator()
     # Long targets and small estimates keep every queue feasible at the
-    # lowest frequency, so the full O(|Q| x |F|) scan runs (no
-    # max-frequency short-circuit).
+    # lowest frequency, so the walk scans the whole queue (no
+    # escalation, no max-frequency short-circuit).
     workload = Workload("w", latency_target=100.0)
     for freq in frequencies:
         estimator.prime("w", freq, 1e-5 * 2.8 / freq, count=10)

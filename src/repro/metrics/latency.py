@@ -10,10 +10,10 @@ which regenerate the paper's Figure 3 table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.estimator import nearest_rank
 from repro.core.request import Request
 
 
@@ -24,8 +24,7 @@ def percentile(values: List[float], p: float) -> float:
     if not 0 < p <= 100:
         raise ValueError("percentile must be in (0, 100]")
     ordered = sorted(values)
-    rank = math.ceil(p / 100.0 * len(ordered))
-    return ordered[max(0, rank - 1)]
+    return ordered[nearest_rank(p, len(ordered)) - 1]
 
 
 @dataclass

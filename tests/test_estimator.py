@@ -2,19 +2,22 @@
 
 import math
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.estimator import (
     ExecutionTimeEstimator, ListSlidingWindowPercentile,
-    SlidingWindowPercentile,
+    SlidingWindowPercentile, nearest_rank,
 )
+from repro.metrics.latency import percentile as latency_percentile
 
 
 def reference_percentile(values, p):
+    """Nearest-rank order statistic, rank computed in exact decimal."""
     ordered = sorted(values)
-    rank = math.ceil(p / 100.0 * len(ordered))
+    rank = math.ceil(Decimal(str(p)) * len(ordered) / 100)
     return ordered[max(0, rank - 1)]
 
 
@@ -194,3 +197,120 @@ def test_estimator_p95_is_conservative():
     above = sum(1 for s in samples if s > estimate)
     assert above <= 0.05 * len(samples)
     assert estimate > sum(samples) / len(samples)  # above the mean
+
+
+# ----------------------------------------------------------------------
+# Nearest rank
+# ----------------------------------------------------------------------
+def test_nearest_rank_is_exact_at_p999():
+    """``99.9 / 100.0 * 1000`` is ``999.0000000000001`` in floats, so a
+    float ceil picks rank 1000 --- the maximum --- instead of 999."""
+    assert nearest_rank(99.9, 1000) == 999
+    assert nearest_rank(99.9, 5000) == 4995
+    assert nearest_rank(95, 1000) == 950
+    assert nearest_rank(100, 7) == 7
+    assert nearest_rank(1, 7) == 1
+    values = [float(v) for v in range(1000)]
+    assert latency_percentile(values, 99.9) == 998.0
+    for cls in (SlidingWindowPercentile, ListSlidingWindowPercentile):
+        tracker = cls(window=1000, percentile=99.9)
+        for v in values:
+            tracker.observe(v)
+        assert tracker.value() == 998.0
+
+
+# ----------------------------------------------------------------------
+# Change-aware observe: "not moved" must never be wrong
+# ----------------------------------------------------------------------
+#: Stream items: a value from a tiny set (ties), any value, or None ---
+#: "repeat the current percentile exactly".
+stream_items = st.one_of(st.none(), st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+                         st.floats(min_value=0.0, max_value=10.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=st.lists(st.tuples(stream_items, st.booleans()),
+                       min_size=1, max_size=300),
+       window=st.integers(min_value=1, max_value=50),
+       percentile=st.one_of(st.sampled_from([50, 90, 95, 99, 99.9, 100]),
+                            st.floats(min_value=1.0, max_value=100.0)))
+def test_observe_never_hides_a_move(stream, window, percentile):
+    tracker = SlidingWindowPercentile(window, percentile)
+    oracle = ListSlidingWindowPercentile(window, percentile)
+    for item, read in stream:
+        before = oracle.value()
+        value = before if item is None else item
+        moved = tracker.observe(value)
+        oracle.observe(value)
+        if not moved:
+            assert oracle.value() == before
+        # Reading only sometimes leaves the memo stale between
+        # observations, which must make observe() report a move.
+        if read:
+            assert tracker.value() == oracle.value()
+    assert tracker.value() == oracle.value()
+
+
+def test_observe_skips_most_refreshes_at_p95():
+    """A stationary stream at p = 95 moves the percentile only when the
+    evicted and the new sample straddle it: 2 * 0.95 * 0.05 ~ 9.5%."""
+    tracker = SlidingWindowPercentile(window=1000, percentile=95)
+    rng = random.Random(3)
+    tracker.fill(rng.lognormvariate(0.0, 0.5) for _ in range(1000))
+    moved = 0
+    for _ in range(20000):
+        moved += tracker.observe(rng.lognormvariate(0.0, 0.5))
+        tracker.value()
+    assert 0.07 < moved / 20000 < 0.12
+
+
+# ----------------------------------------------------------------------
+# Bulk fill
+# ----------------------------------------------------------------------
+@settings(max_examples=100, deadline=None)
+@given(before=st.lists(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(
+           min_value=0.0, max_value=1e3), max_size=30),
+       filled=st.lists(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(
+           min_value=0.0, max_value=1e3), max_size=250),
+       after=st.lists(st.floats(min_value=0.0, max_value=1e3),
+                      max_size=150),
+       window=st.integers(min_value=1, max_value=200),
+       percentile=st.floats(min_value=1.0, max_value=100.0))
+def test_fill_then_observe_matches_sequential_observes(
+        before, filled, after, window, percentile):
+    bulk = SlidingWindowPercentile(window, percentile)
+    sequential = SlidingWindowPercentile(window, percentile)
+    for v in before:
+        bulk.observe(v)
+        sequential.observe(v)
+    bulk.fill(filled)
+    for v in filled:
+        sequential.observe(v)
+    assert bulk.value() == sequential.value()
+    assert bulk.observations == sequential.observations
+    for v in after:
+        bulk.observe(v)
+        sequential.observe(v)
+        assert bulk.value() == sequential.value()
+    assert bulk._sorted == sequential._sorted
+    assert list(bulk._order) == list(sequential._order)
+    assert bulk.full == sequential.full
+
+
+def test_fill_rejects_negative_values_untouched():
+    tracker = SlidingWindowPercentile(window=4)
+    tracker.fill([1.0, 2.0])
+    with pytest.raises(ValueError):
+        tracker.fill([3.0, -1.0])
+    assert tracker._sorted == [1.0, 2.0]
+    assert tracker.observations == 2
+
+
+def test_estimator_fill_patches_cached_vectors():
+    estimator = ExecutionTimeEstimator(window=100)
+    cache = estimator.mu_vector_caches.setdefault((1.2, 2.8), {})
+    cache["w"] = [0.0, 0.0]
+    estimator.fill("w", 2.8, [float(v) for v in range(1, 101)])
+    estimator.fill("w", 2.0, [9.0])  # off this ladder: no slot moves
+    assert cache["w"] == [0.0, 95.0]
+    assert estimator.observation_count("w", 2.8) == 100
